@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,14 +23,6 @@ std::vector<std::string> Split(std::string_view s, char delim) {
     start = pos + 1;
   }
   return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 std::string Join(const std::vector<std::string>& parts,
@@ -61,6 +54,11 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 std::optional<int64_t> ParseInt64(std::string_view s) {
   s = Trim(s);
   if (s.empty() || s.size() > 31) return std::nullopt;
+  // std::from_chars takes the common case without a copy. It rejects a
+  // leading '+', which strtoll below still accepts.
+  int64_t parsed = 0;
+  auto [last, ec] = std::from_chars(s.data(), s.data() + s.size(), parsed);
+  if (ec == std::errc() && last == s.data() + s.size()) return parsed;
   char buf[32];
   std::memcpy(buf, s.data(), s.size());
   buf[s.size()] = '\0';
@@ -74,6 +72,15 @@ std::optional<int64_t> ParseInt64(std::string_view s) {
 std::optional<double> ParseDouble(std::string_view s) {
   s = Trim(s);
   if (s.empty() || s.size() > 63) return std::nullopt;
+  // std::from_chars is taken only where strtod would return the same bits
+  // without ERANGE: normal numbers and exact zeros. A '+' sign, hex,
+  // subnormals, out-of-range values and inf/nan go through strtod below.
+  double parsed = 0;
+  auto [last, ec] = std::from_chars(s.data(), s.data() + s.size(), parsed);
+  if (ec == std::errc() && last == s.data() + s.size() &&
+      (std::isnormal(parsed) || parsed == 0.0)) {
+    return parsed;
+  }
   char buf[64];
   std::memcpy(buf, s.data(), s.size());
   buf[s.size()] = '\0';

@@ -12,8 +12,16 @@ namespace lafp {
 /// Split on a single-character delimiter; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);
 
-/// Strip ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
+/// Strip ASCII whitespace (the C-locale isspace set) from both ends.
+/// Inline: the CSV reader trims every field.
+inline std::string_view Trim(std::string_view s) {
+  auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && space(s[b])) ++b;
+  while (e > b && space(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
 
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);

@@ -172,16 +172,52 @@ void CivilFromDays(int64_t z, int* year, int* month, int* day) {
   *day = static_cast<int>(d);
 }
 
-Result<int64_t> ParseTimestamp(const std::string& s) {
-  int y = 0, mo = 0, d = 0, h = 0, mi = 0, sec = 0;
-  int n = std::sscanf(s.c_str(), "%d-%d-%d %d:%d:%d", &y, &mo, &d, &h, &mi,
-                      &sec);
-  if (n != 3 && n != 6) {
-    return Status::Invalid("cannot parse timestamp: '" + s + "'");
+namespace {
+
+/// Reads an unsigned decimal field of 1-9 digits at `*i`.
+bool ParseTimestampField(std::string_view s, size_t* i, int* out) {
+  const size_t start = *i;
+  int v = 0;
+  while (*i < s.size() && *i - start < 10 && s[*i] >= '0' && s[*i] <= '9') {
+    v = v * 10 + (s[*i] - '0');
+    ++*i;
   }
-  if (mo < 1 || mo > 12 || d < 1 || d > 31 || h < 0 || h > 23 || mi < 0 ||
-      mi > 59 || sec < 0 || sec > 60) {
-    return Status::Invalid("timestamp out of range: '" + s + "'");
+  if (*i == start || *i - start > 9) return false;
+  *out = v;
+  return true;
+}
+
+bool ExpectChar(std::string_view s, size_t* i, char c) {
+  if (*i >= s.size() || s[*i] != c) return false;
+  ++*i;
+  return true;
+}
+
+}  // namespace
+
+Result<int64_t> ParseTimestamp(std::string_view s) {
+  const std::string_view t = Trim(s);
+  int y = 0, mo = 0, d = 0, h = 0, mi = 0, sec = 0;
+  size_t i = 0;
+  bool ok = ParseTimestampField(t, &i, &y) && ExpectChar(t, &i, '-') &&
+            ParseTimestampField(t, &i, &mo) && ExpectChar(t, &i, '-') &&
+            ParseTimestampField(t, &i, &d);
+  if (ok && i < t.size()) {
+    const size_t time_start = i;
+    while (i < t.size() && (t[i] == ' ' || t[i] == '\t')) ++i;
+    ok = i > time_start && ParseTimestampField(t, &i, &h) &&
+         ExpectChar(t, &i, ':') && ParseTimestampField(t, &i, &mi) &&
+         ExpectChar(t, &i, ':') && ParseTimestampField(t, &i, &sec) &&
+         i == t.size();
+  }
+  if (!ok) {
+    return Status::Invalid("cannot parse timestamp: '" + std::string(s) +
+                           "'");
+  }
+  if (mo < 1 || mo > 12 || d < 1 || d > 31 || h > 23 || mi > 59 ||
+      sec > 60) {
+    return Status::Invalid("timestamp out of range: '" + std::string(s) +
+                           "'");
   }
   return DaysFromCivil(y, mo, d) * 86400 + h * 3600 + mi * 60 + sec;
 }

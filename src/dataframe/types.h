@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/result.h"
@@ -100,8 +101,10 @@ int64_t DaysFromCivil(int year, int month, int day);
 /// Inverse of DaysFromCivil.
 void CivilFromDays(int64_t days, int* year, int* month, int* day);
 
-/// Parse "YYYY-MM-DD" or "YYYY-MM-DD HH:MM:SS" into epoch seconds.
-Result<int64_t> ParseTimestamp(const std::string& s);
+/// Parse "Y-M-D" or "Y-M-D H:M:S" (fields may be unpadded; surrounding
+/// whitespace is ignored) into epoch seconds. Any other text, including
+/// trailing characters after a valid date, is rejected.
+Result<int64_t> ParseTimestamp(std::string_view s);
 
 /// Format epoch seconds as "YYYY-MM-DD HH:MM:SS".
 std::string FormatTimestamp(int64_t epoch_seconds);

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "io/columnar.h"
-#include "io/csv.h"
 
 namespace lafp::io {
 
@@ -87,18 +86,6 @@ Result<FileFingerprint> FingerprintLfcFile(const std::string& path) {
 Result<FileFingerprint> FingerprintInputFile(const std::string& path) {
   if (IsLfcFile(path)) return FingerprintLfcFile(path);
   return FingerprintFile(path);
-}
-
-Result<std::vector<std::string>> ReadCsvHeaderNames(const std::string& path,
-                                                    char delimiter) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IOError("empty CSV file: " + path);
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return SplitCsvLine(line, delimiter);
 }
 
 }  // namespace lafp::io

@@ -39,12 +39,6 @@ Result<FileFingerprint> FingerprintLfcFile(const std::string& path);
 /// FingerprintFile.
 Result<FileFingerprint> FingerprintInputFile(const std::string& path);
 
-/// Column names from a CSV header line (before any usecols selection).
-/// Used by plan fingerprinting to seed schema tracking. IOError when the
-/// file cannot be opened or is empty.
-Result<std::vector<std::string>> ReadCsvHeaderNames(const std::string& path,
-                                                    char delimiter = ',');
-
 }  // namespace lafp::io
 
 #endif  // LAFP_IO_FINGERPRINT_H_

@@ -4,6 +4,7 @@
 
 #include "common/hash.h"
 #include "io/columnar.h"
+#include "io/csv.h"
 #include "io/fingerprint.h"
 
 namespace lafp::lazy {

@@ -51,9 +51,10 @@ struct LocalPartition {
 /// Scan request: every worker walks the same chunk sequence (the same
 /// geometry the Modin backend produces) and keeps the chunks whose global
 /// index hashes to it (idx % num_workers == worker_index), so the union
-/// across workers is exactly the single-process partitioning. CSV chunks
-/// are parsed by every worker (the text format has no random access); LFC
-/// chunks are only decoded by their owner.
+/// across workers is exactly the single-process partitioning. Only the
+/// owner parses a chunk: the others step over its records (CSV, which has
+/// no random access, is still scanned for record ends by every worker) or
+/// skip it outright (LFC).
 Result<Message> HandleScan(WorkerState* st, const Message& req) {
   WireReader r(req.payload);
   exec::OpDesc desc;
@@ -83,11 +84,15 @@ Result<Message> HandleScan(WorkerState* st, const Message& req) {
     LAFP_ASSIGN_OR_RETURN(
         auto reader,
         io::CsvChunkReader::Open(desc.path, desc.csv_options, &st->tracker));
+    const size_t rows = static_cast<size_t>(partition_rows);
     while (true) {
-      LAFP_ASSIGN_OR_RETURN(
-          auto chunk, reader->NextChunk(static_cast<size_t>(partition_rows)));
-      if (!chunk.has_value()) break;
-      if (total % num_workers == worker_index) keep(std::move(*chunk));
+      if (total % num_workers == worker_index) {
+        LAFP_ASSIGN_OR_RETURN(auto chunk, reader->NextChunk(rows));
+        if (!chunk.has_value()) break;
+        keep(std::move(*chunk));
+      } else if (reader->SkipRecords(rows) == 0) {
+        break;  // another worker's chunk: step over it unparsed
+      }
       ++total;
     }
     if (total == 0) {

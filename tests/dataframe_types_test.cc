@@ -99,6 +99,50 @@ TEST(TimestampTest, RejectsGarbage) {
   EXPECT_FALSE(ParseTimestamp("2023-04-15 25:00:00").ok());
 }
 
+TEST(TimestampTest, AcceptsUnpaddedFieldsAndSurroundingWhitespace) {
+  const int64_t ref = *ParseTimestamp("2023-04-05 07:08:09");
+  EXPECT_EQ(*ParseTimestamp("2023-4-5 7:8:9"), ref);
+  EXPECT_EQ(*ParseTimestamp("  2023-04-05 07:08:09\t"), ref);
+  EXPECT_EQ(*ParseTimestamp("2023-04-05  \t07:08:09"), ref);
+  EXPECT_EQ(*ParseTimestamp(" 2023-4-5 "), *ParseTimestamp("2023-04-05"));
+  EXPECT_EQ(*ParseTimestamp("1-1-1"), DaysFromCivil(1, 1, 1) * 86400);
+}
+
+TEST(TimestampTest, RejectsTrailingText) {
+  // A date followed by anything but a full H:M:S is not a timestamp.
+  EXPECT_FALSE(ParseTimestamp("2023-01-02xyz").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 10").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 10:30").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 10:30:00x").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 10:30:00 pm").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02T10:30:00").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-0210:30:00").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01").ok());
+  EXPECT_FALSE(ParseTimestamp("2023--01-02").ok());
+  EXPECT_FALSE(ParseTimestamp("+2023-01-02").ok());
+  EXPECT_FALSE(ParseTimestamp("").ok());
+  EXPECT_FALSE(ParseTimestamp("1234567890-01-01").ok());  // > 9 digits
+}
+
+TEST(TimestampTest, RangeChecksKept) {
+  EXPECT_FALSE(ParseTimestamp("2023-00-10").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-00").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-32").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 24:00:00").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 23:60:00").ok());
+  EXPECT_FALSE(ParseTimestamp("2023-01-02 23:59:61").ok());
+  EXPECT_TRUE(ParseTimestamp("2023-01-02 23:59:60").ok());  // leap second
+}
+
+TEST(TimestampTest, ParsesViewsWithoutTerminator) {
+  // The parser reads a string_view: bytes past the view are not consulted.
+  const std::string buf = "2023-04-15 10:32:05garbage";
+  EXPECT_EQ(*ParseTimestamp(std::string_view(buf).substr(0, 19)),
+            *ParseTimestamp("2023-04-15 10:32:05"));
+  EXPECT_EQ(*ParseTimestamp(std::string_view(buf).substr(0, 10)),
+            *ParseTimestamp("2023-04-15"));
+}
+
 TEST(TimestampTest, DayOfWeekMatchesPandas) {
   // 1970-01-01 was a Thursday => pandas dayofweek 3.
   EXPECT_EQ(DayOfWeek(0), 3);

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <optional>
 
+#include "common/string_util.h"
 #include "dataframe/ops.h"
 
 namespace lafp::io {
@@ -252,6 +258,223 @@ TEST_F(CsvTest, SplitCsvLineEdgeCases) {
   EXPECT_EQ(SplitCsvLine("", ','), (std::vector<std::string>{""}));
   EXPECT_EQ(SplitCsvLine("\"\"\"\"", ','),
             (std::vector<std::string>{"\""}));
+}
+
+TEST_F(CsvTest, RoundTripQuotedLineBreaksAndQuotes) {
+  const std::vector<std::string> values = {
+      "a\nb", "x\r", "plain", "d,e", "say \"hi\"", "\"\"", "p\r\nq",
+      "\n\nlead", "tail\n"};
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < values.size(); ++i) ids.push_back(int64_t(i));
+  auto id = *df::Column::MakeInt(ids, {}, &tracker_);
+  auto text = *df::Column::MakeString(values, {}, &tracker_);
+  auto frame = *DataFrame::Make({"id", "text"}, {id, text});
+  ASSERT_TRUE(WriteCsv(frame, path_).ok());
+  auto back = ReadCsv(path_, {}, &tracker_);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_rows(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ((*back->column("id"))->IntAt(i), int64_t(i));
+    EXPECT_EQ((*back->column("text"))->StringAt(i), values[i]) << i;
+  }
+}
+
+TEST_F(CsvTest, HeaderNamesAreQuotedOnWrite) {
+  auto a = *df::Column::MakeInt({1}, {}, &tracker_);
+  auto b = *df::Column::MakeInt({2}, {}, &tracker_);
+  auto frame = *DataFrame::Make({"x,y", "q\"z"}, {a, b});
+  ASSERT_TRUE(WriteCsv(frame, path_).ok());
+  auto names = ReadCsvHeaderNames(path_);
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(*names, (std::vector<std::string>{"x,y", "q\"z"}));
+}
+
+// Records spanning several lines: a quoted newline (and a quoted blank
+// line) belongs to its record, CRLF inside quotes is data.
+constexpr const char* kMultiLineCsv =
+    "id,s\n"
+    "1,\"a\nb\"\n"
+    "2,\"c\n\nd\"\n"
+    "\n"
+    "3,e\r\n"
+    "4,\"f\r\ng\"\n";
+
+TEST_F(CsvTest, QuotedNewlineOnChunkBoundary) {
+  WriteFile(kMultiLineCsv);
+  const std::vector<std::string> want = {"a\nb", "c\n\nd", "e", "f\r\ng"};
+  for (size_t rows : {1, 2, 3}) {
+    auto reader = CsvChunkReader::Open(path_, {}, &tracker_);
+    ASSERT_TRUE(reader.ok());
+    std::vector<std::string> got;
+    size_t chunks = 0;
+    while (true) {
+      auto chunk = (*reader)->NextChunk(rows);
+      ASSERT_TRUE(chunk.ok());
+      if (!chunk->has_value()) break;
+      ++chunks;
+      EXPECT_LE((*chunk)->num_rows(), rows);
+      const auto& ids = **(*chunk)->column("id");
+      const auto& s = **(*chunk)->column("s");
+      for (size_t i = 0; i < s.size(); ++i) {
+        EXPECT_EQ(ids.IntAt(i), int64_t(got.size() + 1));
+        got.push_back(s.StringAt(i));
+      }
+    }
+    EXPECT_EQ(got, want) << "rows=" << rows;
+    EXPECT_EQ(chunks, (want.size() + rows - 1) / rows) << "rows=" << rows;
+  }
+}
+
+TEST_F(CsvTest, NrowsCountsRecordsNotLines) {
+  WriteFile(kMultiLineCsv);
+  CsvReadOptions opts;
+  opts.nrows = 2;
+  auto frame = ReadCsv(path_, opts, &tracker_);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->num_rows(), 2u);
+  EXPECT_EQ((*frame->column("s"))->StringAt(1), "c\n\nd");
+}
+
+TEST_F(CsvTest, SkipRecordsMatchesNextChunkGeometry) {
+  WriteFile(kMultiLineCsv);
+  CsvReadOptions opts;
+  opts.nrows = 3;
+  auto reader = CsvChunkReader::Open(path_, opts, &tracker_);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ((*reader)->SkipRecords(2), 2u);
+  auto chunk = (*reader)->NextChunk(2);
+  ASSERT_TRUE(chunk.ok() && chunk->has_value());
+  ASSERT_EQ((*chunk)->num_rows(), 1u);  // the nrows quota is shared
+  EXPECT_EQ((**(*chunk)->column("s")).StringAt(0), "e");
+  EXPECT_EQ((*reader)->SkipRecords(2), 0u);
+
+  auto all = CsvChunkReader::Open(path_, {}, &tracker_);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ((*all)->SkipRecords(3), 3u);
+  EXPECT_EQ((*all)->SkipRecords(3), 1u);
+  EXPECT_EQ((*all)->SkipRecords(3), 0u);
+  auto end = (*all)->NextChunk(1);
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());
+}
+
+// The number parsers take std::from_chars where it provably agrees with
+// strtoll/strtod and fall back to them otherwise. These references are the
+// pure strtoll/strtod parsers; every value read through ReadCsv must match
+// them bit for bit.
+std::optional<int64_t> StrtollReference(std::string_view s) {
+  s = Trim(s);
+  if (s.empty() || s.size() > 31) return std::nullopt;
+  std::string buf(s);
+  errno = 0;
+  char* end = nullptr;
+  int64_t v = std::strtoll(buf.c_str(), &end, 10);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<double> StrtodReference(std::string_view s) {
+  s = Trim(s);
+  if (s.empty() || s.size() > 63) return std::nullopt;
+  std::string buf(s);
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(buf.c_str(), &end);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
+  if (std::isinf(v) && s.find("inf") == std::string_view::npos &&
+      s.find("INF") == std::string_view::npos) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+const std::vector<std::string> kNumberInputs = {
+    "+5", " 42 ", "\t-7", "007", "-0", "1e999", "-1e999", "1e-400",
+    "4e-320", "5e-324", "2.2250738585072011e-308",
+    "2.2250738585072014e-308", "1e308", "1.7976931348623157e308",
+    "1.8e308", "1e-4000000000", "inf", "-inf", "Inf", "INF", "Infinity",
+    "nan", "NaN", "-nan", "-0.0", "0.0", "0e500", "0x10", "0X1p3", "+0.5",
+    "12345678901234567890", "-12345678901234567890",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "3.0", "1.5", ".5", "5.", "1e", "1e+2", "123abc", "--1", "+-1",
+    "00000000000000000000000000000042",
+    "0.100000000000000000000000000000000000000000000000000000000000001"};
+
+TEST_F(CsvTest, DoubleColumnMatchesStrtod) {
+  std::string content = "v\n";
+  for (const auto& in : kNumberInputs) content += in + "\n";
+  WriteFile(content);
+  CsvReadOptions opts;
+  opts.dtypes = {{"v", DataType::kDouble}};
+  auto frame = ReadCsv(path_, opts, &tracker_);
+  ASSERT_TRUE(frame.ok());
+  const auto& col = **frame->column("v");
+  ASSERT_EQ(col.size(), kNumberInputs.size());
+  for (size_t i = 0; i < kNumberInputs.size(); ++i) {
+    auto want = StrtodReference(kNumberInputs[i]);
+    ASSERT_EQ(col.IsValid(i), want.has_value()) << kNumberInputs[i];
+    if (want) EXPECT_EQ(Bits(col.DoubleAt(i)), Bits(*want)) << kNumberInputs[i];
+  }
+}
+
+TEST_F(CsvTest, IntColumnMatchesStrtoll) {
+  // Inputs whose strtod fallback fits int64 (the cast of inf/nan or a
+  // 20-digit value is not defined).
+  const std::vector<std::string> inputs = {
+      "+5", " 42 ", "\t-7", "007", "-0", "3.0", "1.5", "-2.5", "0x10",
+      "1e3", "-0.0", "1e999", "1e-400", "4e-320", "9223372036854775807",
+      "-9223372036854775808", "00000000000000000000000000000042", "123abc",
+      "+-1"};
+  std::string content = "v\n";
+  for (const auto& in : inputs) content += in + "\n";
+  WriteFile(content);
+  CsvReadOptions opts;
+  opts.dtypes = {{"v", DataType::kInt64}};
+  auto frame = ReadCsv(path_, opts, &tracker_);
+  ASSERT_TRUE(frame.ok());
+  const auto& col = **frame->column("v");
+  ASSERT_EQ(col.size(), inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    std::optional<int64_t> want = StrtollReference(inputs[i]);
+    if (!want) {
+      if (auto d = StrtodReference(inputs[i])) want = int64_t(*d);
+    }
+    ASSERT_EQ(col.IsValid(i), want.has_value()) << inputs[i];
+    if (want) EXPECT_EQ(col.IntAt(i), *want) << inputs[i];
+  }
+}
+
+TEST_F(CsvTest, InferenceMatchesStrtollStrtod) {
+  for (const auto& in : kNumberInputs) {
+    WriteFile("v\n" + in + "\n");
+    auto frame = ReadCsv(path_, {}, &tracker_);
+    ASSERT_TRUE(frame.ok());
+    const auto& col = **frame->column("v");
+    if (auto i = StrtollReference(in)) {
+      ASSERT_EQ(col.type(), DataType::kInt64) << in;
+      EXPECT_EQ(col.IntAt(0), *i) << in;
+    } else if (auto d = StrtodReference(in)) {
+      ASSERT_EQ(col.type(), DataType::kDouble) << in;
+      EXPECT_EQ(Bits(col.DoubleAt(0)), Bits(*d)) << in;
+    } else {
+      ASSERT_EQ(col.type(), DataType::kString) << in;
+      EXPECT_EQ(col.StringAt(0), in);
+    }
+  }
+}
+
+TEST_F(CsvTest, TimestampWithTrailingTextIsAString) {
+  WriteFile("when\n2023-01-02xyz\n2023-01-03\n");
+  auto frame = ReadCsv(path_, {}, &tracker_);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ((*frame->column("when"))->type(), DataType::kString);
+  EXPECT_EQ((*frame->column("when"))->StringAt(0), "2023-01-02xyz");
 }
 
 TEST_F(CsvTest, OutOfMemoryDuringReadSurfacesAsStatus) {
